@@ -29,8 +29,7 @@
 // Poll has the subscriber's stubs poll the host's application log, Push
 // drives a per-peer relay sender that drains up to Config.RelayBatch
 // queued messages per wakeup into a single oneway deliverBatch
-// invocation (peers that predate batching are detected once and served
-// per-message). Updates cross the WAN once per remote server and fan out
+// invocation (a lone message goes as a plain deliver). Updates cross the WAN once per remote server and fan out
 // locally.
 //
 // # Failure handling

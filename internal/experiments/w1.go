@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -11,20 +12,23 @@ import (
 	"discover/internal/orb"
 )
 
-// RunW1 measures what wire protocol v2 buys over the v1/gob baseline,
-// with raw ORB pairs over an accounted (and, for the last row, shaped)
-// netsim link so every byte on the wire is attributable:
+// RunW1 measures what wire protocol v2 buys over the retired v1/gob
+// baseline, with raw ORB pairs over an accounted (and, for the last row,
+// shaped) netsim link so every byte on the wire is attributable. The ORB
+// speaks only v2, so the v1 side of each comparison is computed from the
+// frozen v1 frame layout rather than measured:
 //
 //   - small-message traffic: the paper's steering workload is thousands
 //     of tiny control messages, where gob's per-message self-description
 //     and the repeated (key, method) target dominate the payload. v2
-//     interns both per connection, so steady-state bytes must drop by
-//     at least 40%.
+//     interns both per connection, so its measured bytes must be at
+//     least 40% below the v1 frame sizes of the same calls (v1Bytes).
 //   - bulk compression: a WithBulk exchange flate-compresses a redundant
 //     payload; plain invocations never pay for compression.
 //   - head-of-line blocking: on a bandwidth-limited WAN link a v1 bulk
-//     reply is one frame that serializes the connection, so a concurrent
-//     small call waits out the whole transfer. v2 streams the reply as
+//     reply is one frame that serializes the connection, so a small call
+//     issued after the 5 ms head start waits at least the rest of the
+//     transfer (blobBytes/bandwidth - 5 ms). v2 streams the reply as
 //     interleavable chunks, so the small call's worst case is bounded by
 //     the in-flight flow-control window, not the transfer size.
 //
@@ -41,27 +45,28 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 	res := Result{ID: "W1", Title: "Wire protocol v2: interned codec, compression, pipelining"}
 
 	// --- Row 1: small-message bytes on the wire, v1 vs v2. ---
-	smallBytes := func(v2 bool) (uint64, error) {
-		leg, err := newW1Leg(v2, nil)
+	ctx := context.Background()
+	smallBytes := func() (v1, v2 uint64, err error) {
+		leg, err := newW1Leg(nil)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		defer leg.close()
-		ctx := context.Background()
 		var out w1Echo
 		for i := 0; i < msgs; i++ {
-			in := w1Echo{Seq: i, Client: "client-7", Op: "set_param", Value: "source_freq"}
+			in := w1SmallCall(i)
 			if err := leg.client.Invoke(ctx, leg.ref, "echo", in, &out); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
+			n, err := v1Bytes(leg.ref.Key, "echo", in, in) // the servant echoes in
+			if err != nil {
+				return 0, 0, err
+			}
+			v1 += n
 		}
-		return leg.net.TotalWAN().Bytes, nil
+		return v1, leg.net.TotalWAN().Bytes, nil
 	}
-	v1Small, err := smallBytes(false)
-	if err != nil {
-		return res, err
-	}
-	v2Small, err := smallBytes(true)
+	v1Small, v2Small, err := smallBytes()
 	if err != nil {
 		return res, err
 	}
@@ -69,13 +74,13 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 	res.Rows = append(res.Rows, Row{
 		Name:  fmt.Sprintf("small-message bytes on the wire (%d invocations)", msgs),
 		Paper: "interning targets and gob descriptors removes per-message self-description: >=40% fewer bytes than v1/gob",
-		Measured: fmt.Sprintf("v1 %d B vs v2 %d B including handshake — %.1f%% reduction (%.1f vs %.1f B/call)",
+		Measured: fmt.Sprintf("v1 frames %d B vs v2 %d B including preface — %.1f%% reduction (%.1f vs %.1f B/call)",
 			v1Small, v2Small, 100*reduction, float64(v1Small)/float64(msgs), float64(v2Small)/float64(msgs)),
 		Pass: reduction >= 0.40,
 	})
 
 	// --- Row 2: bulk compression is opt-in and effective. ---
-	leg, err := newW1Leg(true, nil)
+	leg, err := newW1Leg(nil)
 	if err != nil {
 		return res, err
 	}
@@ -91,7 +96,6 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 		}
 		return leg.net.TotalWAN().Bytes - before, nil
 	}
-	ctx := context.Background()
 	plainB, err := blob(ctx, true)
 	if err != nil {
 		leg.close()
@@ -112,17 +116,17 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 	})
 
 	// --- Row 3: head-of-line blocking on a shaped link. ---
+	const bandwidth, headStart = 8 << 20, 5 * time.Millisecond // 8 MB/s
 	shape := func(t *netsim.Topology) {
 		t.SetRTT("east", "west", 10*time.Millisecond)
-		t.SetBandwidth("east", "west", 8<<20) // 8 MB/s
+		t.SetBandwidth("east", "west", bandwidth)
 	}
-	holWorst := func(v2 bool) (time.Duration, int, error) {
-		leg, err := newW1Leg(v2, shape)
+	holWorst := func() (time.Duration, int, error) {
+		leg, err := newW1Leg(shape)
 		if err != nil {
 			return 0, 0, err
 		}
 		defer leg.close()
-		ctx := context.Background()
 		var warm w1Echo
 		if err := leg.client.Invoke(ctx, leg.ref, "echo", w1Echo{Op: "warm"}, &warm); err != nil {
 			return 0, 0, err
@@ -134,7 +138,7 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 		}()
 		// Give the bulk request a head start onto the wire, then hammer
 		// small calls on the same pooled connection until it completes.
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(headStart)
 		var worst time.Duration
 		probes := 0
 		var out w1Echo
@@ -157,33 +161,32 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 			}
 		}
 	}
-	v1Worst, v1N, err := holWorst(false)
-	if err != nil {
-		return res, err
-	}
-	v2Worst, v2N, err := holWorst(true)
+	// A single-frame reply holds the link for the whole transfer; a probe
+	// issued after the head start waits at least the remainder.
+	v1Bound := time.Duration(blobBytes)*time.Second/bandwidth - headStart
+	v2Worst, v2N, err := holWorst()
 	if err != nil {
 		return res, err
 	}
 	res.Rows = append(res.Rows, Row{
 		Name:  fmt.Sprintf("worst small-call latency during a concurrent %d B fetch (8 MB/s, 10 ms RTT)", blobBytes),
 		Paper: "v2 chunks interleave streams so a bulk reply no longer head-of-line-blocks small calls; v1 serializes the whole frame",
-		Measured: fmt.Sprintf("v1 worst %s (%d probes) vs v2 worst %s (%d probes)",
-			v1Worst.Round(time.Millisecond), v1N, v2Worst.Round(time.Millisecond), v2N),
-		Pass: v1N > 0 && v2N > 0 && 2*v2Worst <= v1Worst,
+		Measured: fmt.Sprintf("v1 lower bound %s (transfer time minus head start) vs v2 worst %s (%d probes)",
+			v1Bound.Round(time.Millisecond), v2Worst.Round(time.Millisecond), v2N),
+		Pass: v2N > 0 && 2*v2Worst <= v1Bound,
 	})
 
 	w1mu.Lock()
 	w1last = &W1Snapshot{
 		Msgs:              msgs,
 		BlobBytes:         blobBytes,
-		V1SmallBytes:      v1Small,
+		V1FrameBytes:      v1Small,
 		V2SmallBytes:      v2Small,
 		SmallReductionPct: 100 * reduction,
 		PlainBlobBytes:    plainB,
 		BulkBlobBytes:     bulkB,
 		CompressionRatio:  cratio,
-		V1HolWorstMS:      float64(v1Worst) / float64(time.Millisecond),
+		V1HolBoundMS:      float64(v1Bound) / float64(time.Millisecond),
 		V2HolWorstMS:      float64(v2Worst) / float64(time.Millisecond),
 	}
 	w1mu.Unlock()
@@ -194,13 +197,13 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 type W1Snapshot struct {
 	Msgs              int     `json:"msgs"`
 	BlobBytes         int     `json:"blobBytes"`
-	V1SmallBytes      uint64  `json:"v1SmallBytes"`
+	V1FrameBytes      uint64  `json:"v1FrameBytes"` // computed from the v1 frame layout
 	V2SmallBytes      uint64  `json:"v2SmallBytes"`
 	SmallReductionPct float64 `json:"smallReductionPct"`
 	PlainBlobBytes    uint64  `json:"plainBlobBytes"`
 	BulkBlobBytes     uint64  `json:"bulkBlobBytes"`
 	CompressionRatio  float64 `json:"compressionRatio"`
-	V1HolWorstMS      float64 `json:"v1HolWorstMs"`
+	V1HolBoundMS      float64 `json:"v1HolBoundMs"` // transfer time minus head start
 	V2HolWorstMS      float64 `json:"v2HolWorstMs"`
 }
 
@@ -228,6 +231,11 @@ type w1Echo struct {
 	Value  string
 }
 
+// w1SmallCall is the i-th call of the row-1 workload.
+func w1SmallCall(i int) w1Echo {
+	return w1Echo{Seq: i, Client: "client-7", Op: "set_param", Value: "source_freq"}
+}
+
 // w1BlobReq asks the servant for an N-byte payload; Compressible selects
 // a redundant fill (for the compression row) over a pattern flate cannot
 // shrink meaningfully.
@@ -253,10 +261,8 @@ func (l *w1Leg) close() {
 }
 
 // newW1Leg builds a fresh pair per measurement so interning tables and
-// pooled connections never leak between legs. v2=false pins the client
-// to the legacy protocol (it never offers the handshake), which is how a
-// pre-v2 peer behaves on the wire.
-func newW1Leg(v2 bool, shape func(*netsim.Topology)) (*w1Leg, error) {
+// pooled connections never leak between legs.
+func newW1Leg(shape func(*netsim.Topology)) (*w1Leg, error) {
 	topo := netsim.NewTopology()
 	if shape != nil {
 		shape(topo)
@@ -286,8 +292,29 @@ func newW1Leg(v2 bool, shape func(*netsim.Topology)) (*w1Leg, error) {
 		}),
 	})
 	client := orb.New(orb.WithDialer(n.Dialer("west", "east")))
-	if !v2 {
-		client.SetWireV2(false)
-	}
 	return &w1Leg{net: n, client: client, server: srv, ref: srv.Ref("w1")}, nil
+}
+
+// v1Bytes is the frozen size of one two-way invocation in the retired
+// protocol v1: a request frame and its OK reply, each behind a 4-byte
+// length prefix, with the gob encodings of in and out as args and body.
+//
+//	request := len(4) "DORB"(4) version(1) msgtype(1) id(8) key(str) method(str) args(blob)
+//	reply   := len(4) "DORB"(4) version(1) msgtype(1) id(8) status(1) body(blob)
+func v1Bytes(key, method string, in, out any) (uint64, error) {
+	args, err := orb.Marshal(in)
+	if err != nil {
+		return 0, err
+	}
+	body, err := orb.Marshal(out)
+	if err != nil {
+		return 0, err
+	}
+	str := func(n int) int {
+		var b [binary.MaxVarintLen64]byte
+		return binary.PutUvarint(b[:], uint64(n)) + n
+	}
+	req := 4 + 4 + 1 + 1 + 8 + str(len(key)) + str(len(method)) + str(len(args))
+	rep := 4 + 4 + 1 + 1 + 8 + 1 + str(len(body))
+	return uint64(req + rep), nil
 }

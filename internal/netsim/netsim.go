@@ -94,9 +94,9 @@ func (t *Topology) Bandwidth(a, b Site) float64 {
 
 // DirStats counts traffic on one directed site pair. Msgs counts both
 // Write and Read accounting events; Writes counts only the dialer's
-// Write calls, which with the ORB wire is one per request (or coalesced
-// batch) — a direct invocation counter, since accepted conns are not
-// wrapped and responses surface as reads.
+// Write calls, which with the ORB wire is one per request — a direct
+// invocation counter, since accepted conns are not wrapped and responses
+// surface as reads.
 type DirStats struct {
 	Msgs   uint64
 	Writes uint64

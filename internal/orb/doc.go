@@ -20,20 +20,15 @@
 // Argument marshalling uses encoding/gob, mirroring the prototype's use of
 // Java object serialization over IIOP.
 //
-// # Wire protocol versions
+// # Wire protocol
 //
-// Two protocol generations share every pooled connection's lifecycle;
-// WIRE.md at the repository root is the normative spec of both.
-//
-// v1 is the original GIOP-like exchange: 4-byte length-prefixed frames,
-// one complete gob-self-describing message per frame, replies matched to
-// requests by id. It remains fully supported — it is the negotiation
-// carrier and the fallback.
-//
-// v2 is negotiated per connection: the client's first request invokes
-// the "__wire"/"hello" pseudo-object as an ordinary v1 call. A
-// v2-capable server intercepts it and acknowledges, after which both
-// sides switch to varint-headed frames with
+// Every peer in a federation is this binary, so the ORB speaks one
+// protocol, v2; WIRE.md at the repository root is its normative spec.
+// The client writes the 4-byte "DWP2" preface in front of the first
+// frame of its first write; the server reads exactly those bytes and
+// closes the connection on a mismatch. There is no acknowledgement and
+// no extra round trip. After the preface, both sides exchange
+// varint-headed frames with
 //
 //   - interned targets and type descriptors ((key, method) pairs and gob
 //     descriptor prefixes ship once per connection, then travel as ids),
@@ -43,12 +38,8 @@
 //     no longer head-of-line-blocks concurrent invocations), and
 //   - opt-in flate compression for bulk exchanges (WithBulk).
 //
-// A v1 peer has no "__wire" servant; its OBJECT_NOT_EXIST reply leaves
-// the connection in v1, the verdict is cached per address, and DropConn
-// clears it so a restarted peer is re-probed. SetWireV2(false) disables
-// both sides of the mechanism, making the ORB indistinguishable from a
-// pre-v2 peer. Stats reports the negotiated-connection count, per-version
-// byte totals, and descriptor-cache defs/hits.
+// Stats reports the bytes handed to the socket, write and reply counts,
+// descriptor-cache defs/hits and compressed frames.
 //
 // # Telemetry
 //
@@ -56,9 +47,7 @@
 // (internal/telemetry), its id crosses the wire as an optional frame
 // trailer (wire.TraceMeta); the servant side measures dispatch time,
 // records the servant span locally, and echoes the trailer so the caller
-// can split servant time out of its round-trip measurement. Legacy peers
-// ignore trailers and echo nothing, which the caller detects per request
-// — no handshake, no version bump. SetWireTrace gates the whole
-// mechanism. Invocation, servant-dispatch and oneway latencies feed
+// can split servant time out of its round-trip measurement. Untraced
+// requests carry no trailer. Invocation, servant-dispatch and oneway latencies feed
 // per-operation histograms regardless of sampling.
 package orb

@@ -2,47 +2,80 @@ package orb
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
-func TestProtoRoundTrip(t *testing.T) {
-	rq := &request{id: 42, key: "obj/1", method: "ping", args: []byte{1, 2, 3}}
-	gotReq, gotRep, err := decodeFrame(encodeRequest(rq))
-	if err != nil || gotRep != nil || gotReq == nil {
-		t.Fatalf("decode request: %v %v %v", gotReq, gotRep, err)
-	}
-	if gotReq.id != 42 || gotReq.key != "obj/1" || gotReq.method != "ping" || string(gotReq.args) != "\x01\x02\x03" {
-		t.Errorf("request round trip: %+v", gotReq)
-	}
-
-	rp := &reply{id: 42, status: replyUserError, body: []byte("oops")}
-	gotReq, gotRep, err = decodeFrame(encodeReply(rp))
-	if err != nil || gotReq != nil || gotRep == nil {
-		t.Fatalf("decode reply: %v %v %v", gotReq, gotRep, err)
-	}
-	if gotRep.id != 42 || gotRep.status != replyUserError || string(gotRep.body) != "oops" {
-		t.Errorf("reply round trip: %+v", gotRep)
-	}
-}
-
+// TestProtoRejectsGarbage checks the connection preface against a live
+// ORB: a retired v1 frame, an HTTP request and a truncated preface each
+// get the connection closed without any servant dispatch, and a correct
+// client is still served afterwards.
 func TestProtoRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX\x01\x01"),
-		[]byte("DORB"),
-		[]byte("DORB\x02\x01"), // wrong version
-		[]byte("DORB\x01\x09"), // unknown message type
-		encodeRequest(&request{id: 1, key: "k", method: "m"})[:8],
+	server := New()
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range cases {
-		if _, _, err := decodeFrame(p); err == nil {
-			t.Errorf("case %d: decodeFrame accepted garbage", i)
+	t.Cleanup(func() { server.Close() })
+	var dispatches atomic.Int32
+	server.Register("obj", MethodMap{
+		"echo": func(args []byte) ([]byte, error) {
+			dispatches.Add(1)
+			return args, nil
+		},
+	})
+	args, err := Marshal("hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed v1 two-way request for obj.echo: length prefix, then
+	// "DORB", version 1, msgtype 1, id 1, key, method, args.
+	v1 := appendBlob([]byte("DORB\x01\x01\x00\x00\x00\x00\x00\x00\x00\x01\x03obj\x04echo"), args)
+	v1 = append(binary.BigEndian.AppendUint32(nil, uint32(len(v1))), v1...)
+
+	cases := map[string][]byte{
+		"v1 frame":          v1,
+		"http request":      []byte("GET / HTTP/1.1\r\nHost: orb\r\n\r\n"),
+		"truncated preface": []byte("DW"),
+	}
+	for name, garbage := range cases {
+		conn, err := net.Dial("tcp", server.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := conn.Write(garbage); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		// Half-close so a server still waiting for preface bytes sees EOF.
+		conn.(*net.TCPConn).CloseWrite()
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		// A close with unread input may surface as a reset; either way the
+		// server must hang up without answering.
+		n, err := io.Copy(io.Discard, conn)
+		conn.Close()
+		if (err != nil && !errors.Is(err, syscall.ECONNRESET)) || n != 0 {
+			t.Errorf("%s: server answered %d bytes (err %v), want a bare close", name, n, err)
+		}
+	}
+	if n := dispatches.Load(); n != 0 {
+		t.Fatalf("garbage reached the servant %d times", n)
+	}
+
+	client := New()
+	defer client.Close()
+	var out string
+	if err := client.Invoke(context.Background(), server.Ref("obj"), "echo", "hi", &out); err != nil || out != "hi" {
+		t.Fatalf("correct client after garbage: %q, %v", out, err)
+	}
+	if n := dispatches.Load(); n != 1 {
+		t.Fatalf("dispatches = %d, want 1", n)
 	}
 }
 

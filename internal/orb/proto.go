@@ -7,8 +7,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-
-	"discover/internal/wire"
 )
 
 // ObjRef locates an object: the ORB endpoint that hosts it and its object
@@ -23,16 +21,6 @@ func (r ObjRef) IsZero() bool { return r.Addr == "" && r.Key == "" }
 
 // String renders the reference like an IOR-ish URL.
 func (r ObjRef) String() string { return "orb://" + r.Addr + "/" + r.Key }
-
-// Protocol constants.
-const (
-	protoMagic   = "DORB"
-	protoVersion = 1
-
-	msgRequest = 1
-	msgReply   = 2
-	msgOneway  = 3 // request with no reply, like a CORBA oneway operation
-)
 
 // Reply statuses.
 const (
@@ -97,28 +85,22 @@ type reply struct {
 	id           uint64
 	status       uint8
 	body         []byte
-	trace        uint64 // echoed trace id; 0 = peer sent no trailer (legacy)
+	trace        uint64 // echoed trace id; 0 = untraced request (no trailer)
 	servantNanos uint64 // dispatch time at the servant, when trace != 0
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
+func appendUv(dst []byte, v uint64) []byte {
+	var b [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(b[:], v)
+	return append(dst, b[:n]...)
 }
 
 func appendStr(dst []byte, s string) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], uint64(len(s)))
-	dst = append(dst, b[:n]...)
-	return append(dst, s...)
+	return append(appendUv(dst, uint64(len(s))), s...)
 }
 
 func appendBlob(dst []byte, p []byte) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], uint64(len(p)))
-	dst = append(dst, b[:n]...)
-	return append(dst, p...)
+	return append(appendUv(dst, uint64(len(p))), p...)
 }
 
 var errBadFrame = errors.New("orb: malformed protocol frame")
@@ -137,12 +119,13 @@ func (r *frameReader) u8() (byte, error) {
 	return b, nil
 }
 
-func (r *frameReader) u64() (uint64, error) {
-	if r.off+8 > len(r.src) {
+// uv reads one uvarint from the frame.
+func (r *frameReader) uv() (uint64, error) {
+	v, sz := binary.Uvarint(r.src[r.off:])
+	if sz <= 0 {
 		return 0, errBadFrame
 	}
-	v := binary.BigEndian.Uint64(r.src[r.off:])
-	r.off += 8
+	r.off += sz
 	return v, nil
 }
 
@@ -167,100 +150,6 @@ func (r *frameReader) blob() ([]byte, error) {
 	copy(b, r.src[r.off:r.off+int(n)])
 	r.off += int(n)
 	return b, nil
-}
-
-// appendRequest appends a request frame payload to buf and returns the
-// extended slice. Appending into a caller-owned (pooled) buffer keeps the
-// hot invocation path free of per-call payload allocations.
-func appendRequest(buf []byte, rq *request) []byte {
-	mt := byte(msgRequest)
-	if rq.oneway {
-		mt = msgOneway
-	}
-	buf = append(buf, protoMagic...)
-	buf = append(buf, protoVersion, mt)
-	buf = appendU64(buf, rq.id)
-	buf = appendStr(buf, rq.key)
-	buf = appendStr(buf, rq.method)
-	buf = appendBlob(buf, rq.args)
-	// Optional trace trailer; legacy decoders stop at the blob and never
-	// see it (see wire.TraceMeta).
-	buf = wire.AppendTraceMeta(buf, wire.TraceMeta{Trace: rq.trace})
-	return buf
-}
-
-// encodeRequest renders a request frame payload in a fresh slice.
-func encodeRequest(rq *request) []byte {
-	return appendRequest(make([]byte, 0, 64+len(rq.args)), rq)
-}
-
-// encodeReply renders a reply frame payload in a fresh slice.
-func encodeReply(rp *reply) []byte {
-	return appendReply(make([]byte, 0, 32+len(rp.body)), rp)
-}
-
-// appendReply appends a reply frame payload to buf and returns the
-// extended slice.
-func appendReply(buf []byte, rp *reply) []byte {
-	buf = append(buf, protoMagic...)
-	buf = append(buf, protoVersion, msgReply)
-	buf = appendU64(buf, rp.id)
-	buf = append(buf, rp.status)
-	buf = appendBlob(buf, rp.body)
-	buf = wire.AppendTraceMeta(buf, wire.TraceMeta{Trace: rp.trace, ServantNanos: rp.servantNanos})
-	return buf
-}
-
-// decodeFrame parses a frame payload into either a request or a reply.
-func decodeFrame(p []byte) (*request, *reply, error) {
-	if len(p) < 6 || string(p[:4]) != protoMagic || p[4] != protoVersion {
-		return nil, nil, errBadFrame
-	}
-	r := &frameReader{src: p, off: 5}
-	mt, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch mt {
-	case msgRequest, msgOneway:
-		rq := &request{oneway: mt == msgOneway}
-		if rq.id, err = r.u64(); err != nil {
-			return nil, nil, err
-		}
-		if rq.key, err = r.str(); err != nil {
-			return nil, nil, err
-		}
-		if rq.method, err = r.str(); err != nil {
-			return nil, nil, err
-		}
-		if rq.args, err = r.blob(); err != nil {
-			return nil, nil, err
-		}
-		if m, ok := wire.ParseTraceMeta(p[r.off:]); ok {
-			rq.trace = m.Trace
-		}
-		return rq, nil, nil
-	case msgReply:
-		rp := &reply{}
-		if rp.id, err = r.u64(); err != nil {
-			return nil, nil, err
-		}
-		st, err := r.u8()
-		if err != nil {
-			return nil, nil, err
-		}
-		rp.status = st
-		if rp.body, err = r.blob(); err != nil {
-			return nil, nil, err
-		}
-		if m, ok := wire.ParseTraceMeta(p[r.off:]); ok {
-			rp.trace = m.Trace
-			rp.servantNanos = m.ServantNanos
-		}
-		return nil, rp, nil
-	default:
-		return nil, nil, errBadFrame
-	}
 }
 
 // Marshal gob-encodes an invocation argument or result.

@@ -1,42 +1,21 @@
 package orb
 
-// Protocol v2 payload encodings and the version handshake. The frame
+// Protocol v2 payload encodings and the connection preface. The frame
 // layer (header grammar, chunking constants, compression, descriptor
 // splitting) lives in internal/wire; this file defines what travels
-// inside REQUEST / REPLY / END / CREDIT payloads and how a connection
-// negotiates up from v1. WIRE.md is the normative spec.
+// inside REQUEST / REPLY / END / CREDIT payloads. WIRE.md is the
+// normative spec.
 
 import (
 	"context"
-	"encoding/binary"
 
 	"discover/internal/wire"
 )
 
-// The handshake pseudo-object. A v2-capable client's first request on a
-// fresh connection is a plain v1 invocation of key wireControlKey, method
-// helloMethod; a v2-capable server intercepts it before servant dispatch
-// and acknowledges, after which both sides switch to v2 framing. A v1
-// server has no such servant and fails the call with OBJECT_NOT_EXIST —
-// which is the fallback signal: the connection simply continues in v1.
-const (
-	wireControlKey = "__wire"
-	helloMethod    = "hello"
-	helloMagic     = "DWP2"
-	wireV2Version  = 2
-)
-
-// helloReq is the gob-encoded argument of the handshake invocation.
-type helloReq struct {
-	Magic      string // helloMagic, distinguishing the probe from a stray call
-	MaxVersion int    // highest protocol version the client speaks
-}
-
-// helloAck is the gob-encoded result: the version the connection will
-// speak from the next frame on.
-type helloAck struct {
-	Version int
-}
+// prefaceMagic opens every ORB connection: the client writes it in front
+// of its first frame, and the server reads exactly these bytes before
+// any frame, closing the connection on a mismatch. There is no ack.
+const prefaceMagic = "DWP2"
 
 // v2 target encodings: the leading byte of a REQUEST payload. Like
 // descriptor interning, (key, method) pairs are defined once per
@@ -151,22 +130,6 @@ func (t *targetDefs) readTarget(r *frameReader) (key, method string, err error) 
 	default:
 		return "", "", errBadFrame
 	}
-}
-
-func appendUv(dst []byte, v uint64) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	return append(dst, b[:n]...)
-}
-
-// uv reads one uvarint from the frame.
-func (r *frameReader) uv() (uint64, error) {
-	v, sz := binary.Uvarint(r.src[r.off:])
-	if sz <= 0 {
-		return 0, errBadFrame
-	}
-	r.off += sz
-	return v, nil
 }
 
 // appendV2Blob appends a tagged blob, interning its descriptor prefix
@@ -316,10 +279,9 @@ func decodeEndV2(p []byte, stream uint64, body []byte) (*reply, error) {
 // bulkKey marks a context as a bulk exchange.
 type bulkKey struct{}
 
-// WithBulk marks ctx as a bulk exchange: on a v2 connection the request
-// is flagged V2FlagBulk, both the request args and the reply may be
-// flate-compressed, and large reply bodies stream as chunks. Bulk is
-// strictly opt-in so latency-sensitive small-message paths (relay
+// WithBulk marks ctx as a bulk exchange: the request is flagged
+// V2FlagBulk, and both the request args and the reply may be
+// flate-compressed. Bulk is strictly opt-in so latency-sensitive small-message paths (relay
 // batching in particular) never pay compression costs.
 func WithBulk(ctx context.Context) context.Context {
 	return context.WithValue(ctx, bulkKey{}, true)

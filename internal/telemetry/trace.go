@@ -18,8 +18,7 @@ import (
 //	          the ORB (the "waiting to get on the wire" time)
 //	rpc     — wire round-trip time, excluding remote servant execution
 //	servant — remote dispatch time, as echoed by the peer in the reply's
-//	          trace trailer (absent when the peer runs a legacy wire
-//	          protocol, in which case servant time stays folded into rpc)
+//	          trace trailer
 const (
 	HopEdge    = "edge"
 	HopQueue   = "queue"

@@ -21,7 +21,7 @@ package wire
 // then a signed type id — negative ids introduce descriptors, the single
 // positive id introduces the value). Nothing inside segments is parsed,
 // and a payload that does not split cleanly simply travels raw, so the
-// scheme degrades to v1 behaviour rather than failing.
+// scheme degrades to plain self-describing gob rather than failing.
 
 import (
 	"errors"

@@ -3,9 +3,8 @@
 //
 //   - v2 frame types and flags from internal/wire/v2.go
 //     (`V2Frame... V2FrameType = 0x..`, `V2Flag... uint8 = 0x..`),
-//   - v1 message types, reply statuses and system error codes from
-//     internal/orb/proto.go (`msg... = N`, `reply... = N`,
-//     `Code... = "..."`),
+//   - reply statuses and system error codes from internal/orb/proto.go
+//     (`reply... = N`, `Code... = "..."`),
 //   - v2 payload tags from internal/orb/proto2.go
 //     (`targetRef/targetDef = 0x..`, `blobRaw/blobDef/blobRef = 0x..`),
 //   - envelope response statuses from internal/wire/wire.go
@@ -15,8 +14,8 @@
 // appear as a `| `value` | `ConstName` |` row with the matching value,
 // and every documented row must name a constant that exists in source
 // with that value. Drift in either direction fails, so the normative
-// spec cannot rot silently. The protocol magics ("DORB", "DWP2",
-// "DTRC") must also appear in the doc.
+// spec cannot rot silently. The protocol magics ("DWP2", "DTRC") must
+// also appear in the doc.
 //
 // Usage: go run ./scripts/wiredrift [repo-root]   (default ".")
 package main
@@ -34,14 +33,13 @@ import (
 var (
 	frameRe  = regexp.MustCompile(`(V2Frame\w+)\s+V2FrameType = (0x[0-9a-fA-F]{2})`)
 	flagRe   = regexp.MustCompile(`(V2Flag\w+)\s+uint8\s*= (0x[0-9a-fA-F]{2})`)
-	msgRe    = regexp.MustCompile(`(?m)^\t(msg[A-Z]\w*)\s*= ([0-9]+)`)
 	replyRe  = regexp.MustCompile(`(?m)^\t(reply[A-Z]\w*)\s*= ([0-9]+)`)
 	codeRe   = regexp.MustCompile(`(?m)^\t(Code\w+)\s*= "([^"]+)"`)
 	tagRe    = regexp.MustCompile(`(?m)^\t(targetRef|targetDef|blobRaw|blobDef|blobRef)\s*= (0x[0-9a-fA-F]{2})`)
 	statusRe = regexp.MustCompile(`(Status\w+)\s+int32 = ([0-9]+)`)
 	kindRe   = regexp.MustCompile(`(?m)^\t(Kind\w+|kindSentinel)`)
 	// Doc rows: | `value` | `ConstName` | ...
-	rowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `((?:V2Frame|V2Flag|msg|reply|Code|Status|Kind|targetRef|targetDef|blobRaw|blobDef|blobRef)\\w*)` \\|")
+	rowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `((?:V2Frame|V2Flag|reply|Code|Status|Kind|targetRef|targetDef|blobRaw|blobDef|blobRef)\\w*)` \\|")
 )
 
 func main() {
@@ -64,7 +62,6 @@ func main() {
 	}
 	collect(v2Src, frameRe)
 	collect(v2Src, flagRe)
-	collect(protoSrc, msgRe)
 	collect(protoSrc, replyRe)
 	collect(protoSrc, codeRe)
 	collect(proto2Src, tagRe)
@@ -104,7 +101,7 @@ func main() {
 			drift = append(drift, fmt.Sprintf("documented constant missing from source: %s = %s", name, v))
 		}
 	}
-	for _, magic := range []string{"DORB", "DWP2", "DTRC"} {
+	for _, magic := range []string{"DWP2", "DTRC"} {
 		if !strings.Contains(doc, magic) {
 			drift = append(drift, fmt.Sprintf("protocol magic %q not mentioned in WIRE.md", magic))
 		}
